@@ -4,12 +4,10 @@ The exchange operator family ships range-partitioned storage slices to a
 process pool, aggregates partials on separate cores, and merges at the
 coordinator. This bench runs the canonical scan-aggregate pipeline
 serially (``OPTION (MAXDOP 1)``) and at increasing DOP, checks
-the results stay byte-identical, and reports three wall clocks per DOP:
+the results stay byte-identical, and reports two measured wall clocks
+per DOP:
 
 - **serial** — the single-process baseline;
-- **simulated** — the cost model's idealised parallel wall (partition
-  phases divided by DOP plus the LPT makespan), as reported before real
-  workers existed;
 - **measured** — actual end-to-end wall clock with the worker pool.
 
 On a single-core host the measured numbers cannot beat serial (the
@@ -133,8 +131,6 @@ def test_par_report(par_db):
                 "measured_speedup": round(
                     serial_time / measured if measured > 0 else 1.0, 3
                 ),
-                "simulated_wall_s": round(stats.simulated_wall, 6),
-                "simulated_speedup": round(stats.simulated_speedup, 3),
                 "bytes_shipped": stats.bytes_shipped,
                 "bytes_returned": stats.bytes_returned,
             }
@@ -145,18 +141,16 @@ def test_par_report(par_db):
         "Parallel aggregation: scan-aggregate, "
         f"{n_rows:,} rows, {len(serial_rows)} groups, {cpus} cpu(s)",
         "=" * 72,
-        f"{'Plan':<30}{'measured s':>14}{'speedup':>9}"
-        f"{'simulated':>10}{'mode':>9}",
+        f"{'Plan':<30}{'measured s':>14}{'speedup':>9}{'mode':>9}",
         "-" * 72,
         f"{'serial (MAXDOP 1)':<30}{serial_time:>14.4f}{'1.00x':>9}"
-        f"{'1.00x':>10}{'serial':>9}",
+        f"{'serial':>9}",
     ]
     for point in curve:
         lines.append(
             f"{'parallel (MAXDOP %d)' % point['dop']:<30}"
             f"{point['measured_s']:>14.4f}"
             f"{'%.2fx' % point['measured_speedup']:>9}"
-            f"{'%.2fx' % point['simulated_speedup']:>10}"
             f"{point['mode'].split()[-1]:>9}"
         )
     save_report("parallel.txt", "\n".join(lines))

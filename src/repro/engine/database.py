@@ -138,10 +138,10 @@ class Database:
         #: ``querystore.json`` when the data directory already has one
         self.query_store = QueryStore()
         self._querystore_path = self.data_dir / "querystore.json"
-        if self._querystore_path.exists():
+        if self._tempdir is None:
             try:
                 self.query_store.load(self._querystore_path)
-            except Exception:  # noqa: BLE001 - corrupt store: start fresh
+            except Exception:  # noqa: BLE001 - no readable generation
                 self.query_store = QueryStore()
         #: SET SLOW_QUERY_THRESHOLD ms (None = logging off)
         self.slow_query_threshold_ms: Optional[float] = None

@@ -26,12 +26,7 @@ from .exchange import (
     rows_offload_blocker,
     scan_offload_blocker,
 )
-from .parallel import (
-    ParallelHashAggregate,
-    ParallelMergeUda,
-    ParallelStats,
-    lpt_makespan,
-)
+from .parallel import ParallelHashAggregate, ParallelStats
 from .vector import (
     DEFAULT_BATCH_SIZE,
     RowBatch,
@@ -57,7 +52,6 @@ __all__ = [
     "MergeJoin",
     "NestedLoopJoin",
     "ParallelHashAggregate",
-    "ParallelMergeUda",
     "ParallelStats",
     "PhysicalOperator",
     "Project",
@@ -71,7 +65,6 @@ __all__ = [
     "TvfScan",
     "batches_from_rows",
     "collect_rows",
-    "lpt_makespan",
     "rebuild_shippable_specs",
     "rows_offload_blocker",
     "scan_offload_blocker",

@@ -19,8 +19,9 @@ worker process can evaluate without the coordinator's compiled closures:
   a group never spans workers and accumulation order matches serial
   execution bit for bit.
 
-The same eligibility logic feeds the planner's EXPLAIN ``note:`` lines,
-so a plan that will fall back to the coordinator says why at plan time.
+The same eligibility logic drives the planner: with no worker tier it
+plans the serial aggregate, and either way an EXPLAIN ``note:`` line
+says why the plan is not a partitioned scan.
 """
 
 from __future__ import annotations
@@ -41,10 +42,6 @@ ORDER_SAFE_AGGREGATES = ("count", "count_big", "min", "max")
 #: gate the plan sanitizer re-proves independently, rule
 #: PLAN-EXCHANGE-FLOAT-SUM)
 SUM_LIKE_AGGREGATES = ("sum", "avg")
-
-# historical private names, kept for callers that grew up with them
-_ORDER_SAFE = ORDER_SAFE_AGGREGATES
-_SUM_LIKE = SUM_LIKE_AGGREGATES
 
 
 def rebuild_shippable_specs(
@@ -92,9 +89,6 @@ def scan_schema_position(scan, output_index: int) -> int:
     return projection[output_index] if projection is not None else output_index
 
 
-_scan_schema_position = scan_schema_position
-
-
 def offloadable_scan(child) -> Optional[Any]:
     """The child scan when it is a bare partitionable table scan."""
     if isinstance(child, (TableScan, ColumnStoreScan)):
@@ -102,10 +96,6 @@ def offloadable_scan(child) -> Optional[Any]:
         if store is not None and hasattr(store, "partition_payloads"):
             return child
     return None
-
-
-#: back-compat alias, kept for external callers of the old private name
-_offloadable_scan = offloadable_scan
 
 
 def _has_udt_columns(schema) -> bool:
@@ -133,8 +123,8 @@ def scan_offload_blocker(
             return f"{spec.name.upper()} argument is a computed expression"
         if spec.uda_class is not None:
             continue  # parallel-safe UDAs merge by contract
-        if spec.name in _SUM_LIKE and not spec.distinct:
-            schema_pos = _scan_schema_position(scan, spec.arg_index)
+        if spec.name in SUM_LIKE_AGGREGATES and not spec.distinct:
+            schema_pos = scan_schema_position(scan, spec.arg_index)
             sql_type = scan.table.schema.columns[schema_pos].sql_type
             if not sql_type.is_integer:
                 return (
@@ -159,6 +149,26 @@ def rows_offload_blocker(
         if not spec.star and spec.arg_index is None:
             return f"{spec.name.upper()} argument is a computed expression"
     return None
+
+
+def worker_tier_blocker(
+    pool,
+    specs: Sequence[AggregateSpec],
+    group_indexes: Optional[Sequence[int]],
+) -> Optional[str]:
+    """Why no worker tier can run an exchange, or None when one can.
+
+    The planner asks at plan time and, on a reason, plans the serial
+    aggregate instead; the operator asks again at run time, because a
+    cached plan can outlive its pool. Every partitioned-scan plan can
+    also take the row-shipping tier, so the rows tier decides."""
+    if pool is None:
+        return "no worker pool"
+    if not pool.available():
+        return pool.disabled_reason or "worker pool unavailable"
+    if rebuild_shippable_specs(specs) is None:
+        return "aggregate descriptors cannot ship to workers"
+    return rows_offload_blocker(specs, group_indexes)
 
 
 def build_scan_tasks(

@@ -8,6 +8,7 @@ Match Aggregate, Sort, Top, Segment/Sequence Project for ROW_NUMBER).
 
 from __future__ import annotations
 
+from collections import Counter
 from operator import itemgetter
 from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
 
@@ -808,20 +809,15 @@ class HashAggregate(PhysicalOperator):
             spec.batch_capable for spec in self.aggregates
         )
 
-    def _count_star_fast_path(self):
-        """Batch-at-a-time COUNT(*) grouping: a single-column group key
-        counted with :class:`collections.Counter` runs at native speed
-        instead of one Python dispatch per row — the engine's stand-in
-        for a compiled aggregation operator."""
-        from collections import Counter
-
-        index = self.group_indexes[0]
-        counts = Counter(row[index] for row in self.child)
-        width = len(self.aggregates)
-        for key, count in counts.items():
-            yield (key,) + (count,) * width
-
     def execute(self):
+        return self._aggregate_rows(self.child)
+
+    def execute_batch(self):
+        return self._aggregate_batches(self.child.iter_batches())
+
+    def _aggregate_rows(self, rows):
+        """Row-at-a-time aggregation of ``rows`` (the child's rows, or
+        rows an exchange already pulled from it)."""
         if (
             self.group_indexes is not None
             and len(self.group_indexes) == 1
@@ -831,7 +827,13 @@ class HashAggregate(PhysicalOperator):
             )
             and self.aggregates
         ):
-            yield from self._count_star_fast_path()
+            # a single-column COUNT(*) counted with Counter runs at
+            # native speed instead of one Python dispatch per row
+            index = self.group_indexes[0]
+            counts = Counter(row[index] for row in rows)
+            width = len(self.aggregates)
+            for key, count in counts.items():
+                yield (key,) + (count,) * width
             return
         groups: dict = {}
         group_fns = self.group_fns
@@ -841,7 +843,7 @@ class HashAggregate(PhysicalOperator):
             single = True
         else:
             single = False
-        for row in self.child:
+        for row in rows:
             if single:
                 key = key_fn(row)
             else:
@@ -856,7 +858,8 @@ class HashAggregate(PhysicalOperator):
             group_values = (key,) if single else key
             yield group_values + tuple(state.result() for state in states)
 
-    def execute_batch(self):
+    def _aggregate_batches(self, batches):
+        """Batch-at-a-time aggregation of ``batches``."""
         group_indexes = self.group_indexes
         single = len(group_indexes) == 1
         if single:
@@ -870,7 +873,7 @@ class HashAggregate(PhysicalOperator):
         # row-mode groups dict, so both modes emit groups in the same
         # order (dict.update appends new keys, never reorders old ones)
         seen: dict = {}
-        for batch in self.child.iter_batches():
+        for batch in batches:
             if single:
                 keys = [row[index] for row in batch]
             else:

@@ -1,4 +1,4 @@
-"""Parallel query execution: the exchange operator family.
+"""Parallel query execution: the exchange operator.
 
 SQL Server parallelises a hash aggregate by partitioning rows across
 worker threads (Repartition Streams), running a *partial* aggregate per
@@ -7,7 +7,7 @@ the paper. This module reproduces that plan shape over **real OS
 processes**: the database owns a :class:`~repro.engine.workers.WorkerPool`
 and the exchange operator ships partition sub-plans to it.
 
-Three execution tiers, tried in order:
+Two worker tiers, tried in order:
 
 1. **Partitioned scan** — the child is a bare table scan whose storage
    engine splits itself into disjoint picklable slices (heap page ranges,
@@ -19,65 +19,43 @@ Three execution tiers, tried in order:
    never spans workers, so merge is concatenation and accumulation order
    matches serial execution bit for bit (this is the tier float SUM/AVG
    plans take — see :mod:`.exchange` for the reassociation argument).
-3. **Simulated DOP** — the original single-core fallback: partitions are
-   aggregated serially but each phase is timed and an LPT-scheduled
-   multi-core wall clock is *modelled*::
 
-       simulated_wall = (scan_time + partition_time) / dop
-                      + LPT_schedule(per_partition_agg_times)
-                      + gather_time
-
-   The fallback engages when no pool is attached, ``dop=1``, the plan is
-   not shippable, or the pool fails (spawn error, pickle error, timeout)
-   — a parallel plan never surfaces a pool failure as a query error, and
-   CI sandboxes with a broken ``multiprocessing`` keep passing.
-
-:class:`ParallelStats` reports **both** clocks: ``simulated_wall`` from
-the model above and ``measured_parallel_wall`` from the real pool run,
-so benchmarks can print modelled and measured speedups side by side.
-``lpt_makespan`` prices the same greedy schedule
-:func:`~repro.engine.workers.lpt_assign` actually uses for task-to-worker
-placement — the simulator's scheduler became the real scheduler.
+The planner builds an exchange only when one of these tiers can run
+(:func:`.exchange.worker_tier_blocker`); otherwise it plans the serial
+aggregate MAXDOP 1 would. When the tiers fail at run time — the pool
+raises :class:`~repro.engine.workers.WorkerPoolError`, or was disabled
+after the plan was cached — the exchange runs
+:class:`~.operators.HashAggregate`'s own row/batch code over the same
+child: a parallel plan never surfaces a pool failure as a query error,
+and the fallback is recorded in :attr:`ParallelStats.fallback_reason`.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import tracing
 from ..errors import ExecutionError
 from ..workers import WorkerPool, WorkerPoolError
-from .aggregates import AggregateSpec, make_batch_accumulator
-from .base import PhysicalOperator
+from .aggregates import AggregateSpec
 from .exchange import (
     build_scan_tasks,
     rebuild_shippable_specs,
-    rows_offload_blocker,
     scan_offload_blocker,
+    worker_tier_blocker,
 )
-from .operators import ColumnStoreScan
+from .operators import ColumnStoreScan, HashAggregate
 from .vector import batches_from_rows
 
 RowFn = Callable[[Sequence[Any]], Any]
 
 #: ParallelStats.mode values
-MODE_SIMULATED = "simulated"
+MODE_SERIAL = "serial"
 MODE_SCAN = "parallel scan"
 MODE_ROWS = "parallel rows"
-MODE_GROUPS = "parallel groups"
-
-
-def lpt_makespan(task_times: Sequence[float], workers: int) -> float:
-    """Makespan of the longest-processing-time-first schedule."""
-    if workers <= 0:
-        raise ExecutionError("workers must be positive")
-    loads = [0.0] * workers
-    for duration in sorted(task_times, reverse=True):
-        loads[loads.index(min(loads))] += duration
-    return max(loads) if loads else 0.0
 
 
 @dataclass
@@ -94,8 +72,8 @@ class ParallelStats:
     #: batches consumed from the child (repartitioning is batch-granular)
     batches_in: int = 0
     #: which execution tier ran (``MODE_*`` constants)
-    mode: str = MODE_SIMULATED
-    #: why a worker-pool tier was skipped or abandoned ("" when none was)
+    mode: str = MODE_SERIAL
+    #: why the worker tiers were skipped or abandoned ("" when one ran)
     fallback_reason: str = ""
     #: real wall clock of the whole compute when workers ran (0 otherwise)
     measured_parallel_wall: float = 0.0
@@ -120,35 +98,6 @@ class ParallelStats:
         )
 
     @property
-    def measured_wall(self) -> float:
-        """Deprecated alias of :attr:`serial_wall` (the old name read as
-        a parallel measurement, which it never was — the real one is
-        :attr:`measured_parallel_wall`)."""
-        warnings.warn(
-            "ParallelStats.measured_wall is deprecated; use serial_wall "
-            "(or measured_parallel_wall for the real worker wall clock)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.serial_wall
-
-    @property
-    def simulated_wall(self) -> float:
-        return (
-            (self.scan_time + self.partition_time) / self.dop
-            + lpt_makespan(self.partition_agg_times, self.dop)
-            + self.gather_time
-        )
-
-    @property
-    def simulated_speedup(self) -> float:
-        simulated = self.simulated_wall
-        serial = self.serial_wall
-        if simulated <= 0 or serial <= 0:
-            return 1.0
-        return serial / simulated
-
-    @property
     def measured_speedup(self) -> float:
         """Real speedup: serial cost over the measured parallel wall
         clock. 1.0 until a worker tier has actually run."""
@@ -159,31 +108,27 @@ class ParallelStats:
         return serial / measured
 
 
-class ParallelHashAggregate(PhysicalOperator):
+class ParallelHashAggregate(HashAggregate):
     """Repartition Streams → per-worker Hash Aggregate → Gather Streams.
 
     Output is identical to :class:`HashAggregate` — including group
     order — whichever tier executes; the difference is the partitioned
     execution and the :class:`ParallelStats` it records. Aggregates must
-    be parallel-safe (mergeable partial states). Pass the database's
-    ``pool`` to enable real worker-process execution; without one the
-    operator runs the simulated tier (how unit tests drive it).
+    be parallel-safe (mergeable partial states). Without a usable
+    ``pool`` the operator is the serial hash aggregate it subclasses.
 
     The exchange eligibility this operator re-derives at runtime
-    (:func:`.exchange.scan_offload_blocker` /
-    :func:`.exchange.rows_offload_blocker`) is proven statically by
+    (:func:`.exchange.worker_tier_blocker` /
+    :func:`.exchange.scan_offload_blocker`) is proven statically by
     the plan sanitizer before execution — rules
     ``PLAN-EXCHANGE-MERGE`` / ``-DOP`` / ``-FLOAT-SUM`` / ``-SILENT``
     in :mod:`repro.engine.verify.plan_sanitizer` — and this module is
     one of the fork-safety analyser's default targets.
     """
 
-    blocking = True
-    batch_capable = True
-
     def __init__(
         self,
-        child: PhysicalOperator,
+        child,
         group_fns: Sequence[RowFn],
         group_names: Sequence[str],
         aggregates: Sequence[AggregateSpec],
@@ -192,7 +137,6 @@ class ParallelHashAggregate(PhysicalOperator):
         group_indexes: Optional[Sequence[int]] = None,
         pool: Optional[WorkerPool] = None,
     ):
-        super().__init__()
         if dop < 1:
             raise ExecutionError("degree of parallelism must be >= 1")
         for spec in aggregates:
@@ -200,81 +144,69 @@ class ParallelHashAggregate(PhysicalOperator):
                 raise ExecutionError(
                     f"aggregate {spec.name!r} is not parallel-safe"
                 )
-        self.child = child
-        self.group_fns = list(group_fns)
-        self.aggregates = list(aggregates)
-        self.columns = list(group_names) + list(agg_names)
+        super().__init__(
+            child, group_fns, group_names, aggregates, agg_names,
+            group_indexes=group_indexes,
+        )
         self.dop = dop
-        self.group_indexes = tuple(group_indexes) if group_indexes else None
         self.pool = pool
         self.stats = ParallelStats(dop=dop)
 
-    @property
-    def _counts_only(self) -> bool:
-        return bool(self.aggregates) and all(
-            spec.star and spec.name in ("count", "count_big")
-            for spec in self.aggregates
-        )
-
     def execute(self):
-        return iter(self._compute())
+        output, pulled = self._run_on_workers()
+        if output is not None:
+            yield from output
+        else:
+            yield from self._aggregate_rows(
+                self.child if pulled is None else chain.from_iterable(pulled)
+            )
 
     def execute_batch(self):
-        yield from batches_from_rows(self._compute())
+        output, pulled = self._run_on_workers()
+        if output is not None:
+            yield from batches_from_rows(output)
+        else:
+            yield from self._aggregate_batches(
+                self.child.iter_batches() if pulled is None else pulled
+            )
 
     # -- tier dispatch -----------------------------------------------------------
 
-    def _compute(self) -> List:
+    def _run_on_workers(self) -> Tuple[Optional[List], Optional[List]]:
+        """``(output, None)`` when a worker tier ran, else ``(None,
+        pulled)``: the serial aggregate must run, over ``pulled`` — the
+        child batches a failed rows tier already consumed, so the child
+        is never driven twice — or over the child when that is None."""
         stats = self.stats = ParallelStats(dop=self.dop)
-        if self.dop > 1 and self.pool is not None:
-            if not self.pool.available():
-                stats.fallback_reason = (
-                    self.pool.disabled_reason or "worker pool unavailable"
-                )
-            else:
-                ship = rebuild_shippable_specs(self.aggregates)
-                if ship is None:
-                    stats.fallback_reason = (
-                        "aggregate arguments are compiled expressions "
-                        "(descriptors cannot ship to workers)"
-                    )
-                else:
-                    scan_blocker = scan_offload_blocker(
-                        self.child, self.aggregates, self.group_indexes
-                    )
-                    try:
-                        if scan_blocker is None:
-                            result = self._compute_offload_scan(stats, ship)
-                            if result is not None:
-                                return result
-                            stats.fallback_reason = (
-                                "table declined to partition"
-                            )
-                        rows_blocker = rows_offload_blocker(
-                            self.aggregates, self.group_indexes
-                        )
-                        if rows_blocker is None:
-                            return self._compute_offload_rows(stats, ship)
-                        stats.fallback_reason = rows_blocker
-                    except WorkerPoolError as exc:
-                        stats = self.stats = ParallelStats(dop=self.dop)
-                        stats.fallback_reason = str(exc)
-        return self._compute_simulated(stats)
-
-    def _group_key_specs(self):
-        """(single, simple_index, key_fn) — the three key-path flavours."""
-        group_fns = self.group_fns
-        single = len(group_fns) == 1
-        simple_index = (
-            self.group_indexes[0]
-            if self.group_indexes is not None and len(self.group_indexes) == 1
-            else None
+        pulled = None
+        reason = (
+            "degree of parallelism is 1"
+            if self.dop < 2
+            else worker_tier_blocker(
+                self.pool, self.aggregates, self.group_indexes
+            )
         )
-        key_fn = group_fns[0] if single else None
-        return single, simple_index, key_fn
+        if reason is None:
+            ship = rebuild_shippable_specs(self.aggregates)
+            try:
+                if scan_offload_blocker(
+                    self.child, self.aggregates, self.group_indexes
+                ) is None:
+                    output = self._compute_offload_scan(stats, ship)
+                    if output is not None:
+                        return output, None
+                pulled = self._pull_child(stats)
+                return self._compute_offload_rows(stats, ship, pulled), None
+            except WorkerPoolError as exc:
+                reason = str(exc)
+        self.stats = ParallelStats(
+            dop=self.dop, mode=MODE_SERIAL, fallback_reason=reason
+        )
+        return None, pulled
 
     def _record_run(self, stats: ParallelStats, results) -> None:
         """Fold one pool run's accounting into the stats block."""
+        stats.partition_agg_times = [r.elapsed for r in results]
         run = self.pool.last_run
         if run is not None:
             stats.bytes_shipped += run.bytes_sent
@@ -321,7 +253,6 @@ class ParallelHashAggregate(PhysicalOperator):
             tasks=len(tasks), dop=self.dop,
         ):
             results = self.pool.run(tasks, weights, workers=self.dop)
-        stats.partition_agg_times = [r.elapsed for r in results]
         stats.batches_in = len(tasks)
         self._record_run(stats, results)
 
@@ -380,16 +311,9 @@ class ParallelHashAggregate(PhysicalOperator):
 
     # -- tier 2: repartitioned rows -----------------------------------------------
 
-    def _compute_offload_rows(
-        self, stats: ParallelStats, ship: List[AggregateSpec]
-    ) -> List:
-        """Coordinator scans and hash-partitions; workers aggregate."""
-        wall_start = time.perf_counter()
-        single, simple_index, key_fn = self._group_key_specs()
-        group_fns = self.group_fns
-        dop = self.dop
-
-        start = wall_start
+    def _pull_child(self, stats: ParallelStats) -> List:
+        """Scan the child once, batch-at-a-time, on the coordinator."""
+        start = time.perf_counter()
         with tracing.span(
             "scan child", category="exchange", wait_type="IO"
         ):
@@ -397,6 +321,15 @@ class ParallelHashAggregate(PhysicalOperator):
         stats.scan_time = time.perf_counter() - start
         stats.rows_in = sum(len(batch) for batch in batches)
         stats.batches_in = len(batches)
+        return batches
+
+    def _compute_offload_rows(
+        self, stats: ParallelStats, ship: List[AggregateSpec], batches: List
+    ) -> List:
+        """Hash-partition the pulled batches; workers aggregate."""
+        wall_start = time.perf_counter() - stats.scan_time
+        group_indexes = self.group_indexes
+        dop = self.dop
 
         # hash-partition, recording global first-occurrence key order so
         # the gather can emit groups in the serial aggregate's order
@@ -407,28 +340,21 @@ class ParallelHashAggregate(PhysicalOperator):
             partitions: List[List] = [[] for _ in range(dop)]
             order: Dict[Any, None] = {}
             setorder = order.setdefault
-            if simple_index is not None:
+            if len(group_indexes) == 1:
+                (index,) = group_indexes
                 for batch in batches:
                     for row in batch:
-                        key = row[simple_index]
-                        partitions[hash(key) % dop].append(row)
-                        setorder(key)
-            elif single:
-                for batch in batches:
-                    for row in batch:
-                        key = key_fn(row)
+                        key = row[index]
                         partitions[hash(key) % dop].append(row)
                         setorder(key)
             else:
                 for batch in batches:
                     for row in batch:
-                        key = tuple(fn(row) for fn in group_fns)
+                        key = tuple(row[i] for i in group_indexes)
                         partitions[hash(key) % dop].append(row)
                         setorder(key)
         stats.partition_time = time.perf_counter() - start
-        del batches
 
-        group_indexes = self.group_indexes
         tasks = []
         weights = []
         for partition in partitions:
@@ -454,7 +380,6 @@ class ParallelHashAggregate(PhysicalOperator):
                 tasks=len(tasks), dop=dop,
             ):
                 results = self.pool.run(tasks, weights, workers=dop)
-            stats.partition_agg_times = [r.elapsed for r in results]
             self._record_run(stats, results)
             # hash partitioning keeps keys disjoint across partitions
             for result in results:
@@ -465,6 +390,7 @@ class ParallelHashAggregate(PhysicalOperator):
         with tracing.span(
             "gather merge", category="exchange", wait_type="AGG_MERGE"
         ):
+            single = len(group_indexes) == 1
             output = []
             for key in order:
                 states = merged[key]
@@ -477,167 +403,23 @@ class ParallelHashAggregate(PhysicalOperator):
         stats.measured_parallel_wall = time.perf_counter() - wall_start
         return output
 
-    # -- tier 3: simulated DOP ----------------------------------------------------
-
-    def _compute_simulated(self, stats: ParallelStats) -> List:
-        single, simple_index, key_fn = self._group_key_specs()
-        group_fns = self.group_fns
-
-        # Phase 1: scan the child batch-at-a-time (parallelisable in the
-        # simulation; a row-mode child is bridged into chunks).
-        start = time.perf_counter()
-        batches = list(self.child.iter_batches())
-        stats.scan_time = time.perf_counter() - start
-        stats.rows_in = sum(len(batch) for batch in batches)
-        stats.batches_in = len(batches)
-
-        # Phase 2: hash-partition on the group key (Repartition Streams),
-        # one batch at a time so the exchange hands workers whole batches.
-        # Global first-occurrence key order is recorded as partitioning
-        # goes, so the gather emits the serial aggregate's group order.
-        start = time.perf_counter()
-        partitions: List[List] = [[] for _ in range(self.dop)]
-        order: Dict[Any, None] = {}
-        setorder = order.setdefault
-        dop = self.dop
-        if simple_index is not None:
-            for batch in batches:
-                for row in batch:
-                    key = row[simple_index]
-                    partitions[hash(key) % dop].append(row)
-                    setorder(key)
-        elif single:
-            for batch in batches:
-                for row in batch:
-                    key = key_fn(row)
-                    partitions[hash(key) % dop].append(row)
-                    setorder(key)
-        else:
-            for batch in batches:
-                for row in batch:
-                    key = tuple(fn(row) for fn in group_fns)
-                    partitions[hash(key) % dop].append(row)
-                    setorder(key)
-        stats.partition_time = time.perf_counter() - start
-        del batches
-
-        # Phase 3: per-worker partial aggregation, individually timed.
-        # Single-column COUNT(*) uses the batch Counter fast path, as the
-        # serial HashAggregate does. In batch mode each partition is
-        # aggregated column-wise through the batch accumulators.
-        use_counter = simple_index is not None and self._counts_only
-        use_batch = (
-            not use_counter
-            and self.execution_mode == "batch"
-            and all(spec.batch_capable for spec in self.aggregates)
-        )
-        partial_results: List = []
-        for partition in partitions:
-            start = time.perf_counter()
-            if use_counter:
-                from collections import Counter
-
-                groups: Any = Counter(
-                    row[simple_index] for row in partition
-                )
-            elif use_batch:
-                if simple_index is not None:
-                    keys = [row[simple_index] for row in partition]
-                elif single:
-                    keys = [key_fn(row) for row in partition]
-                else:
-                    keys = [
-                        tuple(fn(row) for fn in group_fns)
-                        for row in partition
-                    ]
-                accumulators = [
-                    make_batch_accumulator(spec) for spec in self.aggregates
-                ]
-                for accumulator in accumulators:
-                    accumulator.add_batch(keys, partition)
-                groups = (dict.fromkeys(keys), accumulators)
-            else:
-                groups = {}
-                specs = self.aggregates
-                for row in partition:
-                    key = key_fn(row) if single else tuple(
-                        fn(row) for fn in group_fns
-                    )
-                    states = groups.get(key)
-                    if states is None:
-                        states = [spec.new_state() for spec in specs]
-                        groups[key] = states
-                    for state in states:
-                        state.add(row)
-            stats.partition_agg_times.append(time.perf_counter() - start)
-            partial_results.append(groups)
-
-        # Phase 4: gather. Hash partitioning means keys are disjoint
-        # across partitions, so merging is a dict union; emission follows
-        # the recorded global first-occurrence order.
-        start = time.perf_counter()
-        output = []
-        if use_counter:
-            width = len(self.aggregates)
-            counts: Dict[Any, int] = {}
-            for partial in partial_results:
-                counts.update(partial)
-            for key in order:
-                output.append((key,) + (counts[key],) * width)
-        elif use_batch:
-            owners: Dict[Any, Any] = {}
-            for seen, accumulators in partial_results:
-                for key in seen:
-                    owners[key] = accumulators
-            for key in order:
-                accumulators = owners[key]
-                group_values = (key,) if single else key
-                output.append(
-                    group_values
-                    + tuple(acc.result(key) for acc in accumulators)
-                )
-        else:
-            merged: Dict[Any, List[Any]] = {}
-            for groups in partial_results:
-                merged.update(groups)
-            for key in order:
-                states = merged[key]
-                group_values = (key,) if single else key
-                output.append(
-                    group_values
-                    + tuple(state.result() for state in states)
-                )
-        stats.gather_time = time.perf_counter() - start
-        stats.rows_out = len(output)
-        return output
-
     # -- plumbing ----------------------------------------------------------------
-
-    def children(self):
-        return (self.child,)
 
     def analyze_detail(self):
         stats = self.stats
-        if not stats.partition_agg_times and not stats.fallback_reason:
+        if stats.fallback_reason:
+            return f"serial fallback: {stats.fallback_reason}"
+        if not stats.partition_agg_times:
             return None
         worker_ms = sum(stats.partition_agg_times) * 1000.0
         parts = [
             f"workers={len(stats.partition_agg_times)}",
             f"worker time={worker_ms:.3f}ms",
-            f"simulated wall={stats.simulated_wall * 1000.0:.3f}ms",
+            f"measured wall={stats.measured_parallel_wall * 1000.0:.3f}ms",
+            f"mode={stats.mode}",
         ]
-        if stats.measured_parallel_wall > 0:
-            parts.append(
-                f"measured wall="
-                f"{stats.measured_parallel_wall * 1000.0:.3f}ms"
-            )
-            parts.append(f"mode={stats.mode}")
-            for worker_id, rows, seconds in stats.worker_breakdown:
-                parts.append(
-                    f"w{worker_id}={rows}r/{seconds * 1000.0:.3f}ms"
-                )
-        if stats.fallback_reason:
-            parts.append(f"serial fallback: {stats.fallback_reason}")
+        for worker_id, rows, seconds in stats.worker_breakdown:
+            parts.append(f"w{worker_id}={rows}r/{seconds * 1000.0:.3f}ms")
         return ", ".join(parts)
 
     def explain_node(self):
@@ -648,145 +430,3 @@ class ParallelHashAggregate(PhysicalOperator):
             f"  -> Parallelism (Repartition Streams, hash on group key)"
         )
         return label, (self.child,)
-
-
-class ParallelMergeUda(PhysicalOperator):
-    """Partition-wise evaluation of one ordered UDA per group, where
-    groups themselves are distributed across workers (the consensus
-    plan's per-chromosome parallelism).
-
-    Input must arrive ordered by (group key, within-group order). Each
-    group is a task; with a pool and a shippable, parallel-safe UDA the
-    tasks execute on worker processes (LPT-assigned by group size), and
-    otherwise serially with per-task timing for the simulated wall
-    clock. Alignments overlapping partition borders are the reason the
-    paper partitions by chromosome — a group never splits.
-    """
-
-    blocking = True
-
-    def __init__(
-        self,
-        child: PhysicalOperator,
-        group_fns: Sequence[RowFn],
-        group_names: Sequence[str],
-        spec: AggregateSpec,
-        agg_name: str,
-        dop: int = 4,
-        pool: Optional[WorkerPool] = None,
-    ):
-        super().__init__()
-        self.child = child
-        self.group_fns = list(group_fns)
-        self.spec = spec
-        self.columns = list(group_names) + [agg_name]
-        self.dop = dop
-        self.pool = pool
-        self.stats = ParallelStats(dop=dop)
-
-    def execute(self):
-        stats = self.stats = ParallelStats(dop=self.dop)
-        group_fns = self.group_fns
-        wall_start = time.perf_counter()
-
-        # buffer the ordered input into (key, rows) group runs
-        groups: List[Tuple[Tuple[Any, ...], List[Any]]] = []
-        current_key = None
-        current_rows: Optional[List[Any]] = None
-        for row in self.child:
-            stats.rows_in += 1
-            key = tuple(fn(row) for fn in group_fns)
-            if current_rows is None or key != current_key:
-                current_key = key
-                current_rows = []
-                groups.append((key, current_rows))
-            current_rows.append(row)
-        stats.scan_time = time.perf_counter() - wall_start
-
-        output = self._run_groups(stats, groups, wall_start)
-        stats.rows_out = len(output)
-        return iter(output)
-
-    def _run_groups(self, stats, groups, wall_start):
-        if self.dop > 1 and self.pool is not None and groups:
-            ship = (
-                rebuild_shippable_specs([self.spec])
-                if self.pool.available()
-                else None
-            )
-            if ship is not None:
-                try:
-                    return self._run_groups_offload(
-                        stats, groups, ship[0], wall_start
-                    )
-                except WorkerPoolError as exc:
-                    stats.fallback_reason = str(exc)
-                    stats.partition_agg_times = []
-            else:
-                stats.fallback_reason = (
-                    self.pool.disabled_reason
-                    or "UDA cannot ship to workers"
-                )
-        output = []
-        for key, rows in groups:
-            started = time.perf_counter()
-            state = self.spec.new_state()
-            for row in rows:
-                state.add(row)
-            output.append(key + (state.result(),))
-            stats.partition_agg_times.append(time.perf_counter() - started)
-        return output
-
-    def _run_groups_offload(self, stats, groups, ship_spec, wall_start):
-        tasks = [
-            ("uda_group", {"spec": ship_spec, "rows": rows})
-            for _key, rows in groups
-        ]
-        weights = [float(len(rows)) for _key, rows in groups]
-        with tracing.span(
-            "parallel execute (uda groups)", category="exchange",
-            tasks=len(tasks), dop=self.dop,
-        ):
-            results = self.pool.run(tasks, weights, workers=self.dop)
-        stats.partition_agg_times = [r.elapsed for r in results]
-        stats.mode = MODE_GROUPS
-        run = self.pool.last_run
-        if run is not None:
-            stats.bytes_shipped += run.bytes_sent
-            stats.bytes_returned += run.bytes_received
-        output = [
-            key + (result.value["result"],)
-            for (key, _rows), result in zip(groups, results)
-        ]
-        stats.measured_parallel_wall = time.perf_counter() - wall_start
-        return output
-
-    def children(self):
-        return (self.child,)
-
-    def analyze_detail(self):
-        stats = self.stats
-        if not stats.partition_agg_times:
-            return None
-        parts = [
-            f"group tasks={len(stats.partition_agg_times)}",
-            f"task time={sum(stats.partition_agg_times) * 1000.0:.3f}ms",
-            f"simulated wall={stats.simulated_wall * 1000.0:.3f}ms",
-        ]
-        if stats.measured_parallel_wall > 0:
-            parts.append(
-                f"measured wall="
-                f"{stats.measured_parallel_wall * 1000.0:.3f}ms"
-            )
-            parts.append(f"mode={stats.mode}")
-        if stats.fallback_reason:
-            parts.append(f"serial fallback: {stats.fallback_reason}")
-        return ", ".join(parts)
-
-    def explain_node(self):
-        return (
-            f"Parallelism (Gather Streams)\n"
-            f"  -> Stream Aggregate (UDA {self.spec.name}, per-group tasks)"
-            f" [DOP={self.dop}]",
-            (self.child,),
-        )

@@ -170,18 +170,6 @@ class QueryStats:
         return replace(self)
 
 
-def normalize_query_text(sql: str) -> str:
-    """Normalise a statement for stats aggregation.
-
-    Thin re-export of the query store's lexer-based
-    :func:`~repro.engine.querystore.normalize_statement` so the metrics
-    registry, the query store, and the plan cache all agree on one
-    normalization: literals mask to ``?``, keywords upper-case, and
-    whitespace collapses — parameterized repetitions of one statement
-    shape share a single stats row instead of one row per literal."""
-    return normalize_statement(sql)
-
-
 class MetricsRegistry:
     """Per-database retention of query, index, and IO statistics.
 
@@ -207,7 +195,9 @@ class MetricsRegistry:
         # shares the query store's memoized normalization across the
         # metrics registry, the plan cache key, and query-store capture)
         # pass it in so one statement is tokenized once, not three times
-        text = normalized if normalized is not None else normalize_query_text(sql)
+        text = (
+            normalized if normalized is not None else normalize_statement(sql)
+        )
         stats = self._queries.get(text)
         if stats is None:
             if len(self._queries) >= self.retain:

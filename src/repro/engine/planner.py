@@ -283,44 +283,34 @@ class Planner:
         if record is not None and diagnostics:
             record(diagnostics, source=self._current_source)
 
-    def _note_exchange_tier(self, pool, op, specs, group_indexes) -> None:
-        """EXPLAIN note when a parallel plan cannot run the partitioned-
-        scan offload — which execution tier it will use instead, and why
-        (satellite of the real-parallelism work: a serial fallback must
-        never be silent)."""
+    def _worker_tier_runs(self, op, specs, group_indexes) -> bool:
+        """May this aggregate plan an exchange? Only when a worker tier
+        can run it; otherwise the caller lowers the serial aggregate
+        MAXDOP 1 would. Either way a ``note:`` line says why the plan is
+        not a partitioned scan, so a serial choice is never silent."""
         from .executor.exchange import (
-            rebuild_shippable_specs,
-            rows_offload_blocker,
             scan_offload_blocker,
+            worker_tier_blocker,
         )
 
-        def note(message: str) -> None:
-            if message not in self._notes:
-                self._notes.append(message)
-
-        if pool is None or not pool.available():
-            reason = (
-                pool.disabled_reason if pool is not None else "no pool"
+        pool = getattr(self.database, "worker_pool", None)
+        blocker = worker_tier_blocker(pool, specs, group_indexes)
+        if blocker is not None:
+            self._note(
+                f"serial aggregate planned, no worker tier — {blocker}"
             )
-            note(f"exchange will simulate DOP — {reason}")
-            return
-        if rebuild_shippable_specs(specs) is None:
-            note(
-                "exchange will simulate DOP — aggregate descriptors "
-                "cannot ship to workers"
-            )
-            return
+            return False
         scan_blocker = scan_offload_blocker(op, specs, group_indexes)
-        if scan_blocker is None:
-            return
-        rows_blocker = rows_offload_blocker(specs, group_indexes)
-        if rows_blocker is not None:
-            note(f"exchange will simulate DOP — {rows_blocker}")
-        else:
-            note(
+        if scan_blocker is not None:
+            self._note(
                 "exchange will repartition rows on the coordinator — "
                 f"{scan_blocker}"
             )
+        return True
+
+    def _note(self, message: str) -> None:
+        if message not in self._notes:
+            self._notes.append(message)
 
     def _warn_serial_forced(self, uda_name: str) -> None:
         from .verify.udx_verifier import Diagnostic
@@ -329,8 +319,7 @@ class Planner:
             f"serial aggregate forced — uda {uda_name!r} has no "
             "verified merge"
         )
-        if message not in self._notes:
-            self._notes.append(message)
+        self._note(message)
         self._record_lint(
             [Diagnostic("LINT-SERIAL-AGG", "warning", uda_name, message)]
         )
@@ -1090,9 +1079,8 @@ class Planner:
             and dop > 1
             and go_parallel
             and group_fns  # scalar aggregates stay serial; cheap anyway
+            and self._worker_tier_runs(op, specs, group_indexes)
         ):
-            pool = getattr(self.database, "worker_pool", None)
-            self._note_exchange_tier(pool, op, specs, group_indexes)
             result = ParallelHashAggregate(
                 op,
                 group_fns,
@@ -1101,7 +1089,7 @@ class Planner:
                 agg_names,
                 dop=dop,
                 group_indexes=group_indexes,
-                pool=pool,
+                pool=self.database.worker_pool,
             )
         elif not group_fns:
             # scalar aggregate: Stream Aggregate emits exactly one row,

@@ -22,6 +22,9 @@ This module reproduces that shape:
   actual* rows — the feedback signal adaptive optimization needs;
 - the whole store round-trips to JSON (``querystore.json`` alongside
   the FILESTREAM filegroup), so history survives a database restart.
+  A checkpoint is written to a temporary file, fsynced and renamed into
+  place, and the previous checkpoint is kept as ``querystore.json.prev``:
+  a torn write loses at most the captures since that generation.
 
 Surfaced as ``sys_dm_query_store_query`` / ``_plan`` /
 ``_runtime_stats`` virtual views (see :mod:`repro.engine.metrics`).
@@ -30,12 +33,16 @@ Surfaced as ``sys_dm_query_store_query`` / ``_plan`` /
 from __future__ import annotations
 
 import json
+import os
 import re
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from .sql.lexer import EOF, KEYWORD, NUMBER, STRING, tokenize
+
+#: suffix of the previous checkpoint generation kept beside the current
+PREVIOUS_SUFFIX = ".prev"
 
 #: sentinel for "no estimate available" in integer DMV columns
 _NO_ESTIMATE = -1
@@ -521,12 +528,34 @@ class QueryStore:
         self.dirty = False
 
     def save(self, path: Any) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
+        """Checkpoint to ``path`` atomically: write and fsync a temporary
+        file, move the current checkpoint to the previous generation,
+        then rename the new one into place."""
+        path = os.fspath(path)
+        temporary = path + ".tmp"
+        with open(temporary, "w", encoding="utf-8") as handle:
             json.dump(self.to_dict(), handle, indent=1)
             handle.write("\n")
+            handle.flush()
+            os.fsync(handle.fileno())
+        if os.path.exists(path):
+            os.replace(path, path + PREVIOUS_SUFFIX)
+        os.replace(temporary, path)
         self.dirty = False
         self.records_since_checkpoint = 0
 
     def load(self, path: Any) -> None:
-        with open(path, "r", encoding="utf-8") as handle:
-            self.from_dict(json.load(handle))
+        """Load the checkpoint at ``path``, or the previous generation
+        when that one is missing or torn; raises when neither loads."""
+        path = os.fspath(path)
+        error: Optional[Exception] = None
+        for candidate in (path, path + PREVIOUS_SUFFIX):
+            try:
+                with open(candidate, "r", encoding="utf-8") as handle:
+                    self.from_dict(json.load(handle))
+                return
+            except (
+                OSError, ValueError, TypeError, KeyError, AttributeError
+            ) as exc:
+                error = error or exc
+        raise error

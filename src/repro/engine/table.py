@@ -68,12 +68,6 @@ class Table:
         #: SQL Server's colmodctr, driving automatic statistics refresh
         self.modification_counter = 0
 
-    @property
-    def heap(self):
-        """Back-compat alias for :attr:`store`, from when the heap was
-        the only access method. ``fetch``/``scan`` work on both engines."""
-        return self.store
-
     # -- inserts ---------------------------------------------------------------------
 
     def insert(self, values: Sequence[Any]) -> Rid:

@@ -84,7 +84,7 @@ class Transaction:
         self._require_active()
         table = self.database.catalog.table(table_name)
         rid = table.insert(row)
-        stored = table.heap.fetch(rid)
+        stored = table.store.fetch(rid)
         self._undo.append(("insert", (table, rid, stored)))
         return rid
 
@@ -106,7 +106,7 @@ class Transaction:
         table = self.database.catalog.table(table_name)
         store = self.database.filestream
         victims = [
-            (rid, row) for rid, row in table.heap.scan() if predicate(row)
+            (rid, row) for rid, row in table.store.scan() if predicate(row)
         ]
         fs_columns = table._fs_columns
         for rid, row in victims:

@@ -262,9 +262,8 @@ def _check_joins(node, path: str, out: _Findings) -> None:
 
 def _check_aggregates(node, path: str, out: _Findings) -> None:
     from ..executor.operators import HashAggregate, StreamAggregate
-    from ..executor.parallel import ParallelHashAggregate, ParallelMergeUda
 
-    if isinstance(node, (HashAggregate, ParallelHashAggregate)):
+    if isinstance(node, HashAggregate):
         group_count = len(node.group_fns)
         agg_count = len(node.aggregates)
         specs = node.aggregates
@@ -273,11 +272,6 @@ def _check_aggregates(node, path: str, out: _Findings) -> None:
         group_count = len(node.group_fns)
         agg_count = len(node.aggregates)
         specs = node.aggregates
-        group_indexes = None
-    elif isinstance(node, ParallelMergeUda):
-        group_count = len(node.group_fns)
-        agg_count = 1
-        specs = [node.spec]
         group_indexes = None
     else:
         return

@@ -1,8 +1,7 @@
 """The worker-pool runtime: real multi-core parallel execution.
 
-Earlier versions *simulated* DOP: the exchange operator timed partition
-tasks on one core and reported an LPT-scheduled wall clock. This module
-replaces the simulation with real OS processes. One :class:`WorkerPool`
+The exchange operator (:mod:`repro.engine.executor.parallel`) runs its
+partial aggregates on real OS processes. One :class:`WorkerPool`
 is owned per :class:`~repro.engine.database.Database`, spawned lazily on
 the first offloadable parallel plan and reused across queries — the
 analogue of SQL Server's scheduler-bound worker threads, surfaced
@@ -23,9 +22,10 @@ planner's compiled closures never ship). Partial aggregation states are
 returned whole and merged on the coordinator — the property that lets
 UDAs parallelise "just like built-in aggregates".
 
-Set ``REPRO_NO_PARALLEL_WORKERS=1`` to disable the pool (every exchange
-then runs its serial, simulated path — what constrained CI sandboxes
-use so a broken ``multiprocessing`` never hangs a test run).
+Set ``REPRO_NO_PARALLEL_WORKERS=1`` to disable the pool (the planner
+then plans serial aggregates, and an already cached exchange runs the
+serial hash aggregate — what constrained CI sandboxes use so a broken
+``multiprocessing`` never hangs a test run).
 """
 
 from __future__ import annotations
@@ -61,10 +61,7 @@ class WorkerPoolError(EngineError):
 def lpt_assign(weights: Sequence[float], workers: int) -> List[List[int]]:
     """Longest-processing-time-first task assignment.
 
-    Returns one list of task indexes per worker. This is the same greedy
-    schedule :func:`~repro.engine.executor.parallel.lpt_makespan` prices,
-    now used as the *actual* task-to-worker mapping rather than a
-    wall-clock model.
+    Returns one list of task indexes per worker.
     """
     if workers <= 0:
         raise WorkerPoolError("workers must be positive")
@@ -283,28 +280,8 @@ def run_partial_aggregate(payload: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def run_uda_group(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """One ordered-UDA group task: run the aggregate over the whole
-    group's rows (groups never split across workers — the consensus
-    plan's per-chromosome parallelism)."""
-    started = time.perf_counter()
-    spec = payload["spec"]
-    rows = payload["rows"]
-    state = spec.new_state()
-    for row in rows:
-        state.add(row)
-    done = time.perf_counter()
-    return {
-        "result": state.result(),
-        "rows": len(rows),
-        "io": {},
-        "phases": [("uda group", None, started, done)],
-    }
-
-
 _TASK_KINDS = {
     "partial_agg": run_partial_aggregate,
-    "uda_group": run_uda_group,
 }
 
 

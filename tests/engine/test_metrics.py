@@ -5,13 +5,8 @@ import pytest
 
 from repro.engine import Database
 from repro.engine.errors import BindError
-from repro.engine.metrics import (
-    Counters,
-    MetricsRegistry,
-    Span,
-    SpanTimeline,
-    normalize_query_text,
-)
+from repro.engine.metrics import Counters, MetricsRegistry, Span, SpanTimeline
+from repro.engine.querystore import normalize_statement
 
 
 class TestCounters:
@@ -70,14 +65,14 @@ class TestSpans:
 
 class TestRegistry:
     def test_normalize_collapses_whitespace_and_masks_literals(self):
-        # normalize_query_text delegates to the query store's
-        # lexer-based normalization: whitespace collapses AND literals
-        # mask to '?', so parameterized repetitions share one stats row
-        assert normalize_query_text("SELECT  x\n  FROM   t") == (
+        # the registry keys on the query store's lexer-based
+        # normalization: whitespace collapses AND literals mask to '?',
+        # so parameterized repetitions share one stats row
+        assert normalize_statement("SELECT  x\n  FROM   t") == (
             "SELECT x FROM t"
         )
-        assert normalize_query_text("SELECT x FROM t WHERE id = 3") == (
-            normalize_query_text("SELECT x FROM t WHERE id = 99")
+        assert normalize_statement("SELECT x FROM t WHERE id = 3") == (
+            normalize_statement("SELECT x FROM t WHERE id = 99")
         )
 
     def test_repeat_executions_aggregate(self):
@@ -126,7 +121,7 @@ class TestSystemViews:
         )
         by_text = {r[0]: r for r in rows}
         stats = by_text[
-            normalize_query_text("SELECT grp, COUNT(*) FROM t GROUP BY grp")
+            normalize_statement("SELECT grp, COUNT(*) FROM t GROUP BY grp")
         ]
         assert stats[1] == "SELECT"
         assert stats[2] == 1
@@ -192,7 +187,7 @@ class TestSystemViews:
             "FROM sys_dm_exec_query_stats WHERE total_segments_skipped > 0"
         )
         assert rows
-        assert rows[0][0] == normalize_query_text(
+        assert rows[0][0] == normalize_statement(
             "SELECT COUNT(*) FROM cq WHERE id > 6"
         )
 
@@ -213,8 +208,8 @@ class TestSystemViews:
         texts = [
             q.query_text for q in db.metrics.queries()
         ]
-        assert normalize_query_text("SELECT COUNT(*) FROM t") in texts
-        assert normalize_query_text("SELECT grp FROM t WHERE id = 1") in texts
+        assert normalize_statement("SELECT COUNT(*) FROM t") in texts
+        assert normalize_statement("SELECT grp FROM t WHERE id = 1") in texts
 
 
 class TestSetStatistics:
@@ -296,7 +291,7 @@ class TestPrometheus:
         db.query("SELECT COUNT(*) FROM t")
         text = db.metrics_prometheus()
         assert "# TYPE repro_engine_query_executions_total counter" in text
-        label = normalize_query_text("SELECT COUNT(*) FROM t")
+        label = normalize_statement("SELECT COUNT(*) FROM t")
         assert (
             f'repro_engine_query_executions_total{{query="{label}"}} 1'
             in text

@@ -1,4 +1,6 @@
-"""The exchange operator and the DOP simulator."""
+"""The exchange operator: its worker tiers and its serial fallback."""
+
+from operator import itemgetter
 
 import pytest
 
@@ -8,10 +10,15 @@ from repro.engine.executor import (
     HashAggregate,
     MaterializedResult,
     ParallelHashAggregate,
-    ParallelMergeUda,
-    lpt_makespan,
+    collect_rows,
 )
 from repro.engine.udf import UserDefinedAggregate
+from repro.engine.workers import (
+    DISABLE_ENV,
+    WorkerPool,
+    WorkerPoolError,
+    lpt_assign,
+)
 
 
 def c(i):
@@ -22,6 +29,29 @@ def rows_op(columns, rows):
     return MaterializedResult(columns, rows)
 
 
+def exchange_node(op):
+    if isinstance(op, ParallelHashAggregate):
+        return op
+    for child in op.children():
+        found = exchange_node(child)
+        if found is not None:
+            return found
+    return None
+
+
+@pytest.fixture(scope="module")
+def pool():
+    workers = WorkerPool(max_workers=4)
+    yield workers
+    workers.close()
+
+
+def lpt_makespan(weights, workers):
+    """Makespan of the schedule the worker pool actually uses."""
+    schedule = lpt_assign(weights, workers)
+    return max(sum(weights[i] for i in tasks) for tasks in schedule)
+
+
 class TestLptMakespan:
     def test_single_worker_sums(self):
         assert lpt_makespan([1.0, 2.0, 3.0], 1) == pytest.approx(6.0)
@@ -30,15 +60,14 @@ class TestLptMakespan:
         assert lpt_makespan([3.0, 3.0], 2) == pytest.approx(3.0)
 
     def test_lpt_schedules_longest_first(self):
-        # tasks 5,4,3,3,3 on 2 workers -> LPT gives max(5+3, 4+3+3)=10? no:
-        # 5 -> w1, 4 -> w2, 3 -> w2(7), 3 -> w1(8), 3 -> w2(10) => 10
+        # 5 -> w1, 4 -> w2, 3 -> w2 (7), 3 -> w1 (8), 3 -> w2 (10)
         assert lpt_makespan([5, 4, 3, 3, 3], 2) == pytest.approx(10.0)
 
     def test_empty(self):
         assert lpt_makespan([], 4) == 0.0
 
     def test_zero_workers_rejected(self):
-        with pytest.raises(ExecutionError):
+        with pytest.raises(WorkerPoolError):
             lpt_makespan([1.0], 0)
 
 
@@ -64,32 +93,44 @@ class TestParallelHashAggregate:
         parallel_op, parallel = self.run_plan(ParallelHashAggregate, dop=4)
         assert parallel == serial
 
-    def test_stats_populated(self):
-        op, result = self.run_plan(ParallelHashAggregate, dop=4)
+    def test_stats_populated(self, pool):
+        # integer keys hash deterministically: 0..6 fill all 4 partitions
+        op = ParallelHashAggregate(
+            rows_op(["g", "v"], [(i % 7, i) for i in range(500)]),
+            [c(0)],
+            ["g"],
+            [
+                AggregateSpec("count", [], star=True),
+                AggregateSpec("sum", [itemgetter(1)], arg_index=1),
+            ],
+            ["n", "s"],
+            dop=4,
+            group_indexes=(0,),
+            pool=pool,
+        )
+        result = list(op)
         stats = op.stats
+        assert stats.mode == "parallel rows"
+        assert stats.fallback_reason == ""
         assert stats.rows_in == 500
         assert stats.rows_out == len(result) == 7
         assert len(stats.partition_agg_times) == 4
         assert stats.serial_wall > 0
-        assert stats.simulated_wall > 0
+        assert stats.measured_parallel_wall > 0
 
-    def test_simulation_never_slower_than_measured(self):
+    def test_without_pool_runs_the_serial_aggregate(self):
         op, _ = self.run_plan(ParallelHashAggregate, dop=4)
-        assert op.stats.simulated_wall <= op.stats.serial_wall * 1.001
-
-    def test_measured_wall_is_deprecated_alias_of_serial_wall(self):
-        op, _ = self.run_plan(ParallelHashAggregate, dop=4)
-        with pytest.deprecated_call():
-            assert op.stats.measured_wall == op.stats.serial_wall
+        assert op.stats.mode == "serial"
+        assert op.stats.fallback_reason == "no worker pool"
+        assert op.stats.partition_agg_times == []
 
     def test_speedups_guard_zero_walls(self):
         from repro.engine.executor import ParallelStats
 
         stats = ParallelStats(dop=4)
-        assert stats.simulated_speedup == 1.0
         assert stats.measured_speedup == 1.0
 
-    def test_group_order_matches_serial_first_occurrence(self):
+    def test_group_order_matches_serial_first_occurrence(self, pool):
         serial_op = HashAggregate(
             rows_op(["g", "v"], self.DATA),
             [c(0)],
@@ -104,8 +145,11 @@ class TestParallelHashAggregate:
             [AggregateSpec("count", [], star=True)],
             ["n"],
             dop=4,
+            group_indexes=(0,),
+            pool=pool,
         )
         assert list(parallel_op) == list(serial_op)
+        assert parallel_op.stats.mode == "parallel rows"
 
     def test_dop_one_equals_serial_semantics(self):
         op, parallel = self.run_plan(ParallelHashAggregate, dop=1)
@@ -165,7 +209,12 @@ class TestExplainAnalyzeParallel:
     """EXPLAIN ANALYZE over exchange operators: worker fan-out must not
     double-count rows or time on any node of the plan."""
 
-    DATA = [(f"g{i % 7}", i) for i in range(500)]
+    # integer keys hash deterministically: 0..6 fill all 4 partitions
+    DATA = [(i % 7, i) for i in range(500)]
+
+    @pytest.fixture(autouse=True)
+    def _pool(self, pool):
+        self.pool = pool
 
     def build(self, dop=4):
         return ParallelHashAggregate(
@@ -175,6 +224,8 @@ class TestExplainAnalyzeParallel:
             [AggregateSpec("count", [], star=True)],
             ["n"],
             dop=dop,
+            group_indexes=(0,),
+            pool=self.pool,
         )
 
     def test_child_rows_counted_once(self):
@@ -206,8 +257,8 @@ class TestExplainAnalyzeParallel:
         op.enable_timing()
         list(op)
         # operator elapsed is inclusive wall-clock of the pull loop; the
-        # simulated per-worker times live in analyze_detail, and their sum
-        # must not leak into the node's own clock
+        # per-worker times live in analyze_detail, and their sum must
+        # not leak into the node's own clock
         worker_total = sum(op.stats.partition_agg_times)
         assert op.elapsed <= op.stats.serial_wall * 1.5 + 0.05
         assert "worker time=" in (op.analyze_detail() or "")
@@ -251,21 +302,10 @@ class TestRealWorkerExecution:
             )
             yield database
 
-    def _exchange_node(self, op):
-        if isinstance(op, ParallelHashAggregate):
-            return op
-        for child in op.children():
-            found = self._exchange_node(child)
-            if found is not None:
-                return found
-        return None
-
     def _run(self, db, sql):
-        from repro.engine.executor import collect_rows
-
         plan = db.plan(sql)
         rows = collect_rows(plan)
-        return rows, self._exchange_node(plan)
+        return rows, exchange_node(plan)
 
     def test_integer_aggregate_offloads_the_scan(self, db):
         rows, node = self._run(
@@ -297,40 +337,45 @@ class TestRealWorkerExecution:
         assert list(rows) == list(serial.rows)
 
     def test_scan_offload_counts_child_rows_once(self, db):
-        from repro.engine.executor import collect_rows
-
         plan = db.plan(
             "SELECT g, COUNT(*) FROM s GROUP BY g OPTION (MAXDOP 4)"
         )
         collect_rows(plan)
-        node = self._exchange_node(plan)
+        node = exchange_node(plan)
         assert node.stats.mode == "parallel scan"
         (child,) = node.children()
         assert child.rows_out == 2000
         assert child.loops == 1
 
-    def test_env_kill_switch_forces_simulated(self, db, monkeypatch):
-        from repro.engine.workers import DISABLE_ENV
-
+    def test_env_kill_switch_plans_serial_aggregate(self, db, monkeypatch):
         monkeypatch.setenv(DISABLE_ENV, "1")
         rows, node = self._run(
             db, "SELECT g, COUNT(*) FROM s GROUP BY g OPTION (MAXDOP 4)"
         )
-        assert node.stats.mode == "simulated"
-        assert DISABLE_ENV in node.stats.fallback_reason
+        assert node is None
         serial = db.execute(
             "SELECT g, COUNT(*) FROM s GROUP BY g OPTION (MAXDOP 1)"
         )
-        assert list(rows) == list(serial.rows)
+        assert repr(list(rows)) == repr(list(serial.rows))
+        # the plan is exactly the one MAXDOP 1 gets, plus its note
+        def shape(dop):
+            text = db.plan(
+                f"SELECT g, COUNT(*) FROM s GROUP BY g OPTION (MAXDOP {dop})"
+            ).explain()
+            return [line for line in text.splitlines() if "note:" not in line]
+
+        assert shape(4) == shape(1)
 
     def test_disabled_pool_noted_in_explain(self, db, monkeypatch):
-        from repro.engine.workers import DISABLE_ENV
-
         monkeypatch.setenv(DISABLE_ENV, "1")
         text = db.explain(
             "EXPLAIN SELECT g, COUNT(*) FROM s GROUP BY g OPTION (MAXDOP 4)"
         )
-        assert "note: exchange will simulate DOP" in text
+        assert "Parallelism" not in text
+        assert (
+            "note: serial aggregate planned, no worker tier — "
+            f"{DISABLE_ENV} is set"
+        ) in text
 
     def test_analyze_shows_measured_wall_and_mode(self, db):
         text = db.explain(
@@ -346,12 +391,12 @@ class TestRealWorkerExecution:
         plan = db.plan(
             "SELECT g, COUNT(*) FROM s GROUP BY g OPTION (MAXDOP 4)"
         )
-        assert self._exchange_node(plan) is None
+        assert exchange_node(plan) is None
         db.execute("SET MAX_DOP 0")
         plan = db.plan(
             "SELECT g, COUNT(*) FROM s GROUP BY g OPTION (MAXDOP 4)"
         )
-        assert self._exchange_node(plan) is not None
+        assert exchange_node(plan) is not None
 
     def test_workers_dmv_populates_after_parallel_query(self, db):
         db.execute("SELECT g, COUNT(*) FROM s GROUP BY g OPTION (MAXDOP 2)")
@@ -367,10 +412,10 @@ class TestRealWorkerExecution:
         rows = db.query(
             "SELECT query_text, last_dop FROM sys_dm_exec_query_stats"
         )
-        from repro.engine.metrics import normalize_query_text
+        from repro.engine.querystore import normalize_statement
 
         by_text = dict(rows)
-        key = normalize_query_text(
+        key = normalize_statement(
             "SELECT g, COUNT(*) FROM s GROUP BY g OPTION (MAXDOP 3)"
         )
         assert by_text[key] == 3
@@ -391,8 +436,6 @@ class TestRealWorkerExecution:
                 "SELECT g, SUM(v) FROM cs WHERE v >= 600 "
                 "GROUP BY g OPTION (MAXDOP 4)"
             )
-            from repro.engine.executor import collect_rows
-
             rows = collect_rows(plan)
             serial = database.execute(
                 "SELECT g, SUM(v) FROM cs WHERE v >= 600 "
@@ -401,50 +444,82 @@ class TestRealWorkerExecution:
             assert list(rows) == list(serial.rows)
 
 
-class ConcatUda(UserDefinedAggregate):
-    """Ordered concatenation (stand-in for AssembleConsensus)."""
+class TestRuntimeFallback:
+    """An exchange whose workers fail at run time runs the serial hash
+    aggregate over the same child: rows identical to MAXDOP 1, the
+    fallback recorded and shown, the child driven exactly once."""
 
-    name = "ConcatOrdered"
-    arity = 1
-    parallel_safe = False
-    requires_ordered_input = True
+    #: integer SUM partitions the scan; float SUM ships coordinator rows
+    TIER_SQL = {
+        "parallel scan": "SELECT g, SUM(v), COUNT(*) FROM s GROUP BY g",
+        "parallel rows": "SELECT g, SUM(f), COUNT(*) FROM s GROUP BY g",
+    }
 
-    def init(self):
-        self.parts = []
+    @pytest.fixture(params=["heap", "column"])
+    def db(self, request):
+        from repro.engine import Database
 
-    def accumulate(self, value):
-        self.parts.append(str(value))
+        storage = {"heap": "", "column": " WITH (STORAGE = COLUMN)"}
+        with Database() as database:
+            database.execute(
+                "CREATE TABLE s (g VARCHAR(5), v INT, f FLOAT)"
+                + storage[request.param]
+            )
+            database.execute(
+                "INSERT INTO s VALUES "
+                + ", ".join(f"('g{i % 7}', {i}, {i}.25)" for i in range(600))
+            )
+            yield database
 
-    def merge(self, other):  # pragma: no cover
-        raise AssertionError("must not merge")
+    @staticmethod
+    def _check_fallback(node, rows, serial_rows, loops_before):
+        assert repr(list(rows)) == repr(list(serial_rows))
+        assert node.stats.mode == "serial"
+        assert node.stats.fallback_reason
+        assert "serial fallback:" in node.explain(analyze=True)
+        (child,) = node.children()
+        assert child.loops - loops_before == 1
 
-    def terminate(self):
-        return "".join(self.parts)
+    @pytest.mark.parametrize("mode", ["auto", "row"])
+    @pytest.mark.parametrize("tier", sorted(TIER_SQL))
+    def test_worker_pool_error(self, db, mode, tier, monkeypatch):
+        db.execution_mode = mode
+        sql = self.TIER_SQL[tier]
+        serial = db.execute(f"{sql} OPTION (MAXDOP 1)")
+        plan = db.plan(f"{sql} OPTION (MAXDOP 4)")
+        node = exchange_node(plan)
+        collect_rows(plan)
+        assert node.stats.mode == tier
 
+        def broken_run(*_args, **_kwargs):
+            raise WorkerPoolError("injected worker failure")
 
-class TestParallelMergeUda:
-    def test_per_group_evaluation(self):
-        data = [("a", 1), ("a", 2), ("b", 3), ("c", 4), ("c", 5)]
-        op = ParallelMergeUda(
-            rows_op(["g", "v"], data),
-            [c(0)],
-            ["g"],
-            AggregateSpec("ConcatOrdered", [c(1)], uda_class=ConcatUda),
-            "joined",
-            dop=2,
+        monkeypatch.setattr(db.worker_pool, "run", broken_run)
+        plan = db.plan(f"{sql} OPTION (MAXDOP 4)")
+        node = exchange_node(plan)
+        plan.enable_timing()
+        rows = collect_rows(plan)
+        self._check_fallback(node, rows, serial.rows, 0)
+        assert node.stats.fallback_reason == "injected worker failure"
+        text = plan.explain(analyze=True)
+        assert "loops=2" not in text
+
+    @pytest.mark.parametrize("mode", ["auto", "row"])
+    def test_pool_disabled_after_plan_is_cached(self, db, mode, monkeypatch):
+        db.execution_mode = mode
+        sql = f"{self.TIER_SQL['parallel scan']} OPTION (MAXDOP 4)"
+        serial = db.execute(
+            f"{self.TIER_SQL['parallel scan']} OPTION (MAXDOP 1)"
         )
-        assert list(op) == [("a", "12"), ("b", "3"), ("c", "45")]
+        db.execute(sql)
+        cached = db._last_select_plan
+        node = exchange_node(cached)
+        assert node.stats.mode == "parallel scan"
+        (child,) = node.children()
+        loops_before = child.loops
 
-    def test_group_task_times_recorded(self):
-        data = [(f"g{i}", i) for i in range(6)]
-        op = ParallelMergeUda(
-            rows_op(["g", "v"], data),
-            [c(0)],
-            ["g"],
-            AggregateSpec("ConcatOrdered", [c(1)], uda_class=ConcatUda),
-            "joined",
-            dop=4,
-        )
-        list(op)
-        assert len(op.stats.partition_agg_times) == 6
-        assert op.stats.rows_in == 6
+        monkeypatch.setenv(DISABLE_ENV, "1")
+        result = db.execute(sql)
+        assert db._last_select_plan is cached
+        self._check_fallback(node, result.rows, serial.rows, loops_before)
+        assert DISABLE_ENV in node.stats.fallback_reason

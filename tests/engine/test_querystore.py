@@ -118,6 +118,24 @@ class TestQueryStore:
         # the on-disk form is plain JSON
         json.loads(path.read_text())
 
+    def test_load_falls_back_to_previous_generation(self, tmp_path):
+        store = QueryStore()
+        store.record("SELECT v FROM t WHERE g = 7", "SELECT", 0.004, 3)
+        path = tmp_path / "qs.json"
+        store.save(path)
+        first = store.to_dict()
+        store.record("SELECT w FROM t", "SELECT", 0.001, 1)
+        store.save(path)
+        path.write_text(path.read_text()[:40])
+        loaded = QueryStore()
+        loaded.load(path)
+        assert loaded.to_dict() == first
+        path.unlink()
+        (tmp_path / "qs.json.prev").write_text("{")
+        # neither generation loads: the first failure is reported
+        with pytest.raises(FileNotFoundError):
+            QueryStore().load(path)
+
     def test_clear(self):
         store = QueryStore()
         store.record("SELECT 1", "SELECT", 0.001, 1)
@@ -184,6 +202,29 @@ class TestDatabaseIntegration:
             query = db.query_store.find_query("SELECT a FROM t WHERE a > 5")
             assert query is not None
             assert query.execution_count == 1
+
+    def test_torn_checkpoint_reopens_previous_generation(self, tmp_path):
+        data_dir = tmp_path / "torn"
+        with Database(data_dir=data_dir) as db:
+            db.execute("CREATE TABLE t (a INT PRIMARY KEY)")
+            db.execute("INSERT INTO t VALUES (1), (2)")
+            db.query("SELECT a FROM t WHERE a > 0")
+        with Database(data_dir=data_dir) as db:
+            db.execute("CREATE TABLE u (b INT PRIMARY KEY)")
+            db.query("SELECT b FROM u WHERE b < 9")
+        current = data_dir / "querystore.json"
+        assert (data_dir / "querystore.json.prev").exists()
+        assert not (data_dir / "querystore.json.tmp").exists()
+        # a checkpoint cut off halfway through its write
+        text = current.read_text()
+        current.write_text(text[: len(text) // 2])
+        with Database(data_dir=data_dir) as db:
+            store = db.query_store
+            first = store.find_query("SELECT a FROM t WHERE a > 5")
+            assert first is not None
+            assert first.execution_count == 1
+            # only the captures since the previous checkpoint are lost
+            assert store.find_query("SELECT b FROM u WHERE b < 5") is None
 
     def test_in_memory_database_does_not_write_store(self):
         with Database() as db:
